@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -115,7 +116,8 @@ func benchVector(rng *rand.Rand, terms []uint32) sparse.Vector {
 
 // getBenchWorld builds (and memoises) the synthetic matcher for one N,
 // assembling the index structures directly in the shapes the build pass
-// produces: subject-ascending postings, forward lists, per-term maxima.
+// produces: forward lists, per-term maxima, and the inverted index from
+// the same invert the build pass runs.
 func getBenchWorld(tb testing.TB, n int) *benchWorld {
 	tb.Helper()
 	benchWorldsMu.Lock()
@@ -140,15 +142,14 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 	}
 
 	m := &Matcher{
-		opts:     Options{K: benchTopK, Prefilter: prefilter.Params{}.WithDefaults()},
-		known:    make([]Subject, n),
-		postings: make(map[uint32][]posting),
-		mask:     make([]uint8, n),
-		freqs:    make([][]float64, n),
-		acts:     make([][]float64, n),
-		fwdIdx:   make([][]uint32, n),
-		fwdVal:   make([][]float32, n),
-		lshIdx:   make(map[prefilter.LSHParams]*prefilter.LSH),
+		opts:   Options{K: benchTopK, Prefilter: prefilter.Params{}.WithDefaults()},
+		known:  make([]Subject, n),
+		mask:   make([]uint8, n),
+		freqs:  make([][]float64, n),
+		acts:   make([][]float64, n),
+		fwdIdx: make([][]uint32, n),
+		fwdVal: make([][]float32, n),
+		lshIdx: make(map[prefilter.LSHParams]*prefilter.LSH),
 	}
 	mc := prefilter.NewMaxContrib(benchDims)
 	for i := 0; i < n; i++ {
@@ -159,13 +160,17 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 			f := float32(v.Val[k])
 			vals32[k] = f
 			mc.Note(idx, f)
-			m.postings[idx] = append(m.postings[idx], posting{subject: i, value: f})
 		}
 		m.mask[i] = maskGrams
 		m.fwdIdx[i] = v.Idx
 		m.fwdVal[i] = vals32
 	}
 	m.maxContrib = mc
+	inv, err := invert(m.fwdIdx, m.fwdVal, benchDims, runtime.GOMAXPROCS(0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.inv = inv
 
 	// The query is written in cluster 0's voice, so its true top-k are
 	// real near-neighbours, not noise.

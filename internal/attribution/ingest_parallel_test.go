@@ -2,6 +2,7 @@ package attribution
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestNewMatcherWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(par.vocab, seq.vocab) {
 			t.Errorf("Workers=%d: vocabulary diverges from sequential build", workers)
 		}
-		if !reflect.DeepEqual(par.postings, seq.postings) {
+		if !reflect.DeepEqual(par.inv, seq.inv) {
 			t.Errorf("Workers=%d: inverted index diverges from sequential build", workers)
 		}
 		if !reflect.DeepEqual(par.mask, seq.mask) ||
@@ -100,5 +101,54 @@ func TestBuildSubjectsWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(par, seq) {
 			t.Errorf("Workers=%d: subjects diverge from sequential build", workers)
 		}
+	}
+}
+
+// TestInvertWorkerInvariance pins invert, gram-range split included: for
+// any worker count the CSR arrays must equal per-gram lists appended in
+// ascending subject order. The world holds enough postings for invert to
+// split it four ways.
+func TestInvertWorkerInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, dims = 3000, 4000
+	fwdIdx := make([][]uint32, n)
+	fwdVal := make([][]float32, n)
+	lists := make([][]int32, dims)
+	listVals := make([][]float32, dims)
+	for i := range fwdIdx {
+		for g := 0; g < dims; g++ {
+			// Skewed density: low ids are common, high ids rare.
+			if rng.Intn(dims) < (dims-g)/16+1 {
+				v := rng.Float32()
+				fwdIdx[i] = append(fwdIdx[i], uint32(g))
+				fwdVal[i] = append(fwdVal[i], v)
+				lists[g] = append(lists[g], int32(i))
+				listVals[g] = append(listVals[g], v)
+			}
+		}
+	}
+	want := postings{off: make([]uint32, 1, dims+1), subj: []int32{}, val: []float32{}}
+	for g := range lists {
+		want.subj = append(want.subj, lists[g]...)
+		want.val = append(want.val, listVals[g]...)
+		want.off = append(want.off, uint32(len(want.subj)))
+		if len(lists[g]) > 0 {
+			want.lists++
+		}
+	}
+	if len(want.subj) < 4<<16 {
+		t.Fatalf("only %d postings: too few for invert to split", len(want.subj))
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, err := invert(fwdIdx, fwdVal, dims, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: CSR arrays diverge from per-gram appends", workers)
+		}
+	}
+	if _, err := invert(fwdIdx, fwdVal, dims-1, 2); err == nil {
+		t.Error("gram id outside the vocabulary accepted")
 	}
 }

@@ -26,7 +26,7 @@ var (
 		[]float64{0, 1, 2, 5, 10, 20, 50, 100})
 	mKnown     = obs.Default().Gauge("matcher_known_subjects", "known subjects indexed by the most recent matcher build")
 	mVocabSize = obs.Default().Gauge("matcher_vocab_grams", "reduction-vocabulary size of the most recent matcher build")
-	mPostings  = obs.Default().Gauge("matcher_posting_features", "distinct gram features in the most recent matcher's inverted index")
+	mPostings  = obs.Default().Gauge("matcher_posting_features", "distinct gram features with a non-empty posting list in the most recent matcher's inverted index")
 )
 
 // Options configure a Matcher. The zero value is not usable; start from
@@ -132,10 +132,10 @@ type Matcher struct {
 	known []Subject
 
 	vocab *features.Vocabulary
-	// Inverted index over gram features: for each feature index, the list
-	// of (known subject, normalised value) postings. Scoring an unknown
-	// touches only postings of features the unknown actually has.
-	postings map[uint32][]posting
+	// inv is the inverted index over gram features, inverted from the
+	// forward lists below. Scoring an unknown touches only postings of
+	// features the unknown actually has.
+	inv postings
 	// mask records per-subject block presence (maskGrams/maskFreq/maskAct
 	// bits): the subject-side norm depends only on which blocks exist.
 	mask []uint8
@@ -145,13 +145,14 @@ type Matcher struct {
 	acts  [][]float64
 	// maxContrib holds each gram feature's largest posting value — the
 	// per-term contribution caps the pruned pre-filter builds score upper
-	// bounds from. Built shard-by-shard alongside the postings and merged.
+	// bounds from. Built shard-by-shard alongside the forward lists and
+	// merged.
 	maxContrib *prefilter.MaxContrib
 	// fwdIdx/fwdVal are the forward gram index: each subject's sorted
 	// feature ids and the same float32 values its postings carry. The
-	// pre-filtered paths score one subject at a time with an id-ordered
-	// merge over these lists, reproducing the posting sweep's float32
-	// accumulation bit for bit.
+	// pre-filtered paths score one subject at a time by gathering the
+	// query's dense values along these lists (scoreOne), reproducing the
+	// posting sweep's float32 accumulation bit for bit.
 	fwdIdx [][]uint32
 	fwdVal [][]float32
 	// lshIdx lazily caches one immutable LSH index per operating point
@@ -213,7 +214,6 @@ type matchBuffers struct {
 	heap     []heapEntry
 
 	// Pre-filter scratch (fully overwritten each query, never zeroed).
-	qv32   []float32 // query gram values in the exact scan's float32 form
 	imps   []float64 // per-term impacts
 	order  []int     // impact-descending term order
 	bounds prefilter.BoundHeap
@@ -226,6 +226,32 @@ type matchBuffers struct {
 	// touched lists those entries.
 	pscore  []float64
 	touched []int32
+	// qdense is the query's gram vector scattered over the gram
+	// dimensions, in the float32 form the exact sweep multiplies by. Like
+	// pscore it is all-zero between queries: queryDense sets the query's
+	// ids and clearQueryDense zeroes exactly those on the way out.
+	qdense []float32
+}
+
+// queryDense scatters the query's gram values, rounded to float32, into
+// the dense gather vector over the index's dims gram features and returns
+// it.
+func (b *matchBuffers) queryDense(ids []uint32, vals []float64, dims int) []float32 {
+	if cap(b.qdense) < dims {
+		b.qdense = make([]float32, dims)
+	}
+	b.qdense = b.qdense[:dims]
+	for j, g := range ids {
+		b.qdense[g] = float32(vals[j])
+	}
+	return b.qdense
+}
+
+// clearQueryDense restores the all-zero invariant after queryDense.
+func (b *matchBuffers) clearQueryDense(ids []uint32) {
+	for _, g := range ids {
+		b.qdense[g] = 0
+	}
 }
 
 // pruneBufs returns the pruned walk's partial-score accumulator (length
@@ -236,19 +262,6 @@ func (b *matchBuffers) pruneBufs(n int) ([]float64, []int32) {
 	}
 	b.pscore = b.pscore[:n]
 	return b.pscore, b.touched[:0]
-}
-
-// queryVals fills and returns the float32 form of the query gram values —
-// the representation the exact posting sweep multiplies by.
-func (b *matchBuffers) queryVals(vals []float64) []float32 {
-	if cap(b.qv32) < len(vals) {
-		b.qv32 = make([]float32, len(vals))
-	}
-	b.qv32 = b.qv32[:len(vals)]
-	for i, v := range vals {
-		b.qv32[i] = float32(v)
-	}
-	return b.qv32
 }
 
 // impactBuf returns an uninitialised n-length impact buffer.
@@ -278,9 +291,83 @@ func (b *matchBuffers) scoreBufs(n int) ([]float64, []float32) {
 	return b.scores, b.scores32
 }
 
-type posting struct {
-	subject int
-	value   float32
+// postings is the inverted gram index in CSR form: gram g's list is
+// subj[off[g]:off[g+1]] with the matching values in val, subjects
+// ascending within each list — the order stage 1 accumulates float32 dot
+// products in. lists counts the distinct non-empty lists.
+type postings struct {
+	off   []uint32
+	subj  []int32
+	val   []float32
+	lists int
+}
+
+// dims is the number of gram features the index covers.
+func (p *postings) dims() int { return len(p.off) - 1 }
+
+// list returns gram g's posting list.
+func (p *postings) list(g uint32) ([]int32, []float32) {
+	lo, hi := p.off[g], p.off[g+1]
+	return p.subj[lo:hi], p.val[lo:hi]
+}
+
+// invert builds the inverted index over dims gram features from the
+// forward lists. Filling each gram's list in ascending subject order
+// reproduces the posting order of a subject-by-subject build, whichever
+// way the forward lists were produced (a parallel build pass, a snapshot,
+// a synthetic world). Forward lists must be id-sorted with matching value
+// lists; an id outside [0, dims) is an error.
+//
+// The fill scatters every posting to a random position, so it is split
+// over up to `workers` contiguous gram ranges holding similar posting
+// counts. Each range owns its gram lists outright and fills them in
+// ascending subject order, so the result is identical for any worker
+// count.
+func invert(fwdIdx [][]uint32, fwdVal [][]float32, dims, workers int) (postings, error) {
+	off := make([]uint32, dims+1)
+	for _, ids := range fwdIdx {
+		for _, g := range ids {
+			if int(g) >= dims {
+				return postings{}, fmt.Errorf("gram id %d outside the %d-gram vocabulary", g, dims)
+			}
+			off[g+1]++
+		}
+	}
+	lists := 0
+	for g := 0; g < dims; g++ {
+		if off[g+1] != 0 {
+			lists++
+		}
+		off[g+1] += off[g]
+	}
+	total := int(off[dims])
+	subj := make([]int32, total)
+	val := make([]float32, total)
+	next := make([]uint32, dims)
+	copy(next, off)
+	// Below ~64k postings per range the goroutines cost more than the
+	// scatter they split.
+	shards := shardCount(workers, total>>16+1)
+	parallelChunks(shards, total, func(_, lo, hi int) {
+		// This range takes the grams whose lists start in [lo, hi) of the
+		// posting array (a gram starting at or past total has no postings).
+		first := func(at int) uint32 {
+			return uint32(sort.Search(dims, func(g int) bool { return int(off[g]) >= at }))
+		}
+		glo, ghi := first(lo), first(hi)
+		for i, ids := range fwdIdx {
+			vals := fwdVal[i]
+			k := sort.Search(len(ids), func(k int) bool { return ids[k] >= glo })
+			for ; k < len(ids) && ids[k] < ghi; k++ {
+				g := ids[k]
+				at := next[g]
+				subj[at] = int32(i)
+				val[at] = vals[k]
+				next[g] = at + 1
+			}
+		}
+	})
+	return postings{off: off, subj: subj, val: val, lists: lists}, nil
 }
 
 // NewMatcher indexes the known subjects. The known slice is retained (the
@@ -375,15 +462,13 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 	}
 	shards := shardCount(opts.Workers, len(known))
 
-	// Pass 2: re-extract, build blocks, and assemble per-shard posting
-	// lists in one parallel sweep over the same contiguous chunks. Each
-	// shard's postings are subject-ascending within its range, so
-	// concatenating the shards in order reproduces exactly the
-	// subject-ascending posting lists of a serial build — the order
-	// stage-1 accumulates float32 dot products in. The same sweep fills
-	// the pre-filter structures: per-feature max contributions (merged
-	// across shards; max is order-independent), the forward gram index,
-	// and the block-presence masks.
+	// Pass 2: re-extract and build blocks in one parallel sweep over the
+	// same contiguous chunks, filling the forward gram index, the dense
+	// blocks, the block-presence masks and per-feature max contributions
+	// (merged across shards; max is order-independent). Each shard writes
+	// only its own subjects' slots, so the result is the same for any
+	// worker count; invert then builds the subject-ascending posting
+	// lists from the forward lists.
 	m.mask = make([]uint8, len(known))
 	m.freqs = make([][]float64, len(known))
 	m.acts = make([][]float64, len(known))
@@ -392,14 +477,12 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 	gramDims := int(m.vocab.FreqOffset())
 	ictx, ispan := obs.Start(ctx, "matcher.index")
 	ispan.AddItems(int64(len(known)))
-	shardPostings := make([]map[uint32][]posting, shards)
 	shardMax := make([]*prefilter.MaxContrib, shards)
 	parallelChunks(shards, len(known), func(s, lo, hi int) {
 		_, ss := obs.Start(ictx, "matcher.index.shard")
 		ss.SetWorker(s)
 		ss.AddItems(int64(hi - lo))
 		defer ss.End()
-		local := make(map[uint32][]posting)
 		mc := prefilter.NewMaxContrib(gramDims)
 		for i := lo; i < hi; i++ {
 			var b blocks
@@ -426,20 +509,18 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 				v := float32(b.grams.Val[k])
 				vals[k] = v
 				mc.Note(idx, v)
-				local[idx] = append(local[idx], posting{subject: i, value: v})
 			}
 			m.fwdIdx[i] = b.grams.Idx
 			m.fwdVal[i] = vals
 		}
-		shardPostings[s] = local
 		shardMax[s] = mc
 	})
-	m.postings = make(map[uint32][]posting)
-	for _, local := range shardPostings {
-		for idx, ps := range local {
-			m.postings[idx] = append(m.postings[idx], ps...)
-		}
+	inv, err := invert(m.fwdIdx, m.fwdVal, gramDims, opts.Workers)
+	if err != nil {
+		ispan.End()
+		return nil, fmt.Errorf("attribution: index build: %w", err)
 	}
+	m.inv = inv
 	m.maxContrib = shardMax[0]
 	for _, mc := range shardMax[1:] {
 		m.maxContrib.Merge(mc)
@@ -448,7 +529,7 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 	ispan.End()
 	mKnown.Set(float64(len(known)))
 	mVocabSize.Set(float64(m.vocab.NumWordGrams() + m.vocab.NumCharGrams()))
-	mPostings.Set(float64(len(m.postings)))
+	mPostings.Set(float64(m.inv.lists))
 
 	// Stage-2 support structures, hoisted out of Rescore: the name index
 	// (previously rebuilt on every call) and the lazy Final-config doc

@@ -22,6 +22,15 @@ import (
 // All three paths score a subject with identical arithmetic (scoreOne
 // reproduces the posting sweep's float32 accumulation order), so the modes
 // differ only in which subjects get scored.
+//
+// The float32 gram products are wrapped in explicit float32 conversions
+// wherever they are accumulated. The Go spec lets an implementation fuse
+// x*y + z into one instruction (FMA, as on arm64, ppc64 and s390x), skipping
+// the product's rounding, and states that "an explicit floating-point
+// type conversion rounds to the precision of the target type, preventing
+// fusion that would discard that rounding". Without the conversions the
+// sweep and scoreOne could fuse differently and exact and pruned would
+// stop agreeing bit for bit on those architectures.
 
 // MatchOptions select per-query ranking behaviour. The zero value
 // reproduces the matcher's configured defaults exactly.
@@ -73,8 +82,10 @@ func (m *Matcher) rankExact(ub *blocks, k int, w Weights, uNorm float64, buf *ma
 	// Gram block via the inverted index.
 	for j, idx := range ub.grams.Idx {
 		v := float32(ub.grams.Val[j])
-		for _, p := range m.postings[idx] {
-			tdots[p.subject] += p.value * v
+		subj, vals := m.inv.list(idx)
+		vals = vals[:len(subj)]
+		for at, s := range subj {
+			tdots[s] += float32(vals[at] * v)
 		}
 	}
 	// Dense blocks + normalisation.
@@ -101,28 +112,19 @@ func (m *Matcher) rankExact(ub *blocks, k int, w Weights, uNorm float64, buf *ma
 }
 
 // scoreOne exactly scores one known subject, bit-identical to what the
-// full scan computes for it: the forward lists and the query vector are
-// both id-sorted, so the float32 merge below applies the same additions in
-// the same order as the posting sweep (which visits query terms in
-// ascending id and adds subject-side float32 values), and the dense tail
-// repeats the scan's float64 arithmetic verbatim.
-func (m *Matcher) scoreOne(i int, ub *blocks, qv32 []float32, wf2, wa2 float64, w Weights, uNorm float64) float64 {
+// full scan computes for it. qd is the query scattered over the gram
+// dimensions (matchBuffers.queryDense). Walking the subject's id-sorted
+// forward list and gathering qd applies the posting sweep's additions in
+// the same ascending-id order, plus sv·0 for every gram the query lacks;
+// those products are +0 (values are non-negative) and adding +0 leaves a
+// float32 sum bit-unchanged. The dense tail repeats the scan's float64
+// arithmetic verbatim.
+func (m *Matcher) scoreOne(i int, ub *blocks, qd []float32, wf2, wa2 float64, w Weights, uNorm float64) float64 {
 	var t float32
-	qi := ub.grams.Idx
 	si := m.fwdIdx[i]
-	sv := m.fwdVal[i]
-	a, b := 0, 0
-	for a < len(qi) && b < len(si) {
-		switch {
-		case qi[a] == si[b]:
-			t += sv[b] * qv32[a]
-			a++
-			b++
-		case qi[a] < si[b]:
-			a++
-		default:
-			b++
-		}
+	sv := m.fwdVal[i][:len(si)]
+	for b, g := range si {
+		t += float32(sv[b] * qd[g])
 	}
 	dot := float64(t)
 	if wf2 > 0 {
@@ -141,11 +143,21 @@ func (m *Matcher) scoreOne(i int, ub *blocks, qv32 []float32, wf2, wa2 float64, 
 // rankPruned is the lossless pre-filtered scan.
 //
 // Why it is safe to skip a subject: its returned score can only be
-// (partial gram sum) + (unwalked tail) + (dense caps), scaled by the same
+// (partial gram sum) + (unwalked tail) + (dense dots), scaled by the same
 // norms the exact path divides by, plus margins covering every float32-
-// vs-float64 discrepancy — so UB >= exact score, always. Subjects the
-// walk touched get individual bounds and are popped best-bound first;
-// subjects the walk never touched all share one bound per presence mask
+// vs-float64 discrepancy — so UB >= exact score, always. Two bounds are
+// used. The mask-level bound caps the dense dots at their block weights
+// (each block is unit-normalised), so it depends only on the partial sum
+// and the presence mask. The subject bound adds the subject's exact
+// dense dots instead, with the float64 operations scoreOne performs, so
+// rounding is monotone between the two; it costs one dense dot per block
+// and is computed only for subjects whose mask-level bound survives.
+//
+// Subjects the walk touched get individual bounds. The k best by
+// mask-level bound are scored first, which seeds the k-th score; every
+// other touched subject whose mask-level bound, then subject bound,
+// still reaches it is heapified and popped best-bound first. Subjects
+// the walk never touched all share one mask-level bound per presence mask
 // (their partial sum is zero, so only the tail and the dense caps
 // remain), which is checked once per mask class instead of building and
 // heapifying N entries. The scan stops once the best remaining bound is
@@ -153,8 +165,8 @@ func (m *Matcher) scoreOne(i int, ub *blocks, qv32 []float32, wf2, wa2 float64, 
 // an equal score could still win its place by the name tie-break, so ties
 // keep scoring. Every skipped subject therefore scores strictly below the
 // returned k-th entry and cannot appear in topKScores' output either.
-// The processing order (touched heap first, untouched sweep second) does
-// not affect the result: the top-k set is unique under the total
+// The processing order (seeds, then the heap, then the untouched sweep)
+// does not affect the result: the top-k set is unique under the total
 // (score desc, name asc) order, whichever order candidates are offered.
 func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *matchBuffers, p prefilter.PrunedParams) ([]Scored, prefilter.Stats) {
 	n := len(m.known)
@@ -167,7 +179,7 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 	// Per-term impacts: no subject can gain more than qv_j * max posting
 	// value from term j.
 	g := &ub.grams
-	qv32 := buf.queryVals(g.Val)
+	qd := buf.queryDense(g.Idx, g.Val, m.inv.dims())
 	imps := buf.impactBuf(len(g.Idx))
 	total := 0.0
 	for j, idx := range g.Idx {
@@ -190,20 +202,22 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 			break
 		}
 		qv := g.Val[oj]
-		for _, post := range m.postings[g.Idx[oj]] {
+		subj, vals := m.inv.list(g.Idx[oj])
+		vals = vals[:len(subj)]
+		for at, s := range subj {
 			// Zero contributions (idf-zero grams) are skipped rather than
 			// added: every contribution is >= 0, so a touched subject's
 			// partial sum is strictly positive — which is what lets the
 			// untouched sweep below identify touched subjects by
 			// pscore != 0, and keeps the touched list duplicate-free.
-			c := qv * float64(post.value)
+			c := qv * float64(vals[at])
 			if c == 0 {
 				continue
 			}
-			if pscore[post.subject] == 0 {
-				touched = append(touched, int32(post.subject))
+			if pscore[s] == 0 {
+				touched = append(touched, s)
 			}
-			pscore[post.subject] += c
+			pscore[s] += c
 		}
 		tail -= imps[oj]
 	}
@@ -222,7 +236,8 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 	// exact scan's float32 version may drift above the real value by at
 	// most f32Guard, which therefore rides on every gram bound.
 	f32Guard := float64(len(g.Idx)) * f32ulp
-	var addC, invKn, tailUB [8]float64
+	gramUB := func(partial float64) float64 { return min(partial+tail, 1) + f32Guard }
+	var addC, invKn, tailGB, tailUB [8]float64
 	for msk := range invKn {
 		if kn := maskNorm(uint8(msk), w); kn > 0 {
 			invKn[msk] = boundMul / (uNorm * kn)
@@ -233,39 +248,39 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 		if ub.act != nil && uint8(msk)&maskAct != 0 {
 			addC[msk] += wa2
 		}
-		gb := 0.0
 		if uint8(msk)&maskGrams != 0 {
-			gb = tail
-			if gb > 1 {
-				gb = 1
-			}
-			gb += f32Guard
+			tailGB[msk] = gramUB(0)
 		}
-		tailUB[msk] = (gb+addC[msk])*invKn[msk] + p.Slack
+		tailUB[msk] = (tailGB[msk]+addC[msk])*invKn[msk] + p.Slack
 	}
+	// denseUB is the subject bound: subject i's exact dense dots in place
+	// of the mask-wide caps, on top of the gram bound gb. Without a query
+	// dense block at nonzero weight the two bounds coincide, so the
+	// subject bound is skipped entirely.
+	dense := (wf2 > 0 && ub.freq != nil) || (wa2 > 0 && ub.act != nil)
+	denseUB := func(i int, gb float64) float64 {
+		if wf2 > 0 {
+			gb += wf2 * denseDot(ub.freq, m.freqs[i])
+		}
+		if wa2 > 0 {
+			gb += wa2 * denseDot(ub.act, m.acts[i])
+		}
+		return gb*invKn[m.mask[i]] + p.Slack
+	}
+
 	bounds := buf.bounds[:0]
 	for _, id := range touched {
-		i := int(id)
-		msk := m.mask[i]
-		gb := pscore[i] + tail
-		if gb > 1 {
-			gb = 1
-		}
-		gb += f32Guard
-		bounds = append(bounds, prefilter.Bound{UB: (gb+addC[msk])*invKn[msk] + p.Slack, ID: id})
+		msk := m.mask[id]
+		bounds = append(bounds, prefilter.Bound{UB: (gramUB(pscore[id])+addC[msk])*invKn[msk] + p.Slack, ID: id})
 	}
-	buf.bounds = bounds
-	bounds.Init()
 
+	// Seed the k-th score with the k best mask-level bounds — the subjects
+	// a heap would pop first anyway — then keep only the bounds that can
+	// still reach it and heapify those.
 	topk := buf.heap[:0]
 	scored, evictions := 0, 0
-	for len(bounds) > 0 {
-		if len(topk) == k && bounds[0].UB < topk[0].score {
-			break
-		}
-		b := bounds.Pop()
-		i := int(b.ID)
-		s := m.scoreOne(i, ub, qv32, wf2, wa2, w, uNorm)
+	offer := func(i int) {
+		s := m.scoreOne(i, ub, qd, wf2, wa2, w, uNorm)
 		scored++
 		var ev bool
 		topk, ev = pushTopK(m.known, topk, k, heapEntry{score: s, index: i})
@@ -273,7 +288,32 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 			evictions++
 		}
 	}
-	buf.bounds = buf.bounds[:0]
+	bounds.SelectBest(k)
+	seeds := min(k, len(bounds))
+	for _, b := range bounds[:seeds] {
+		offer(int(b.ID))
+	}
+	live := bounds[:0]
+	for _, b := range bounds[seeds:] {
+		if len(topk) == k && b.UB < topk[0].score {
+			continue
+		}
+		if dense {
+			b.UB = denseUB(int(b.ID), gramUB(pscore[b.ID]))
+			if len(topk) == k && b.UB < topk[0].score {
+				continue
+			}
+		}
+		live = append(live, b)
+	}
+	live.Init()
+	for len(live) > 0 {
+		if len(topk) == k && live[0].UB < topk[0].score {
+			break
+		}
+		offer(int(live.Pop().ID))
+	}
+	buf.bounds = bounds[:0]
 
 	// Untouched sweep: needed only while some mask class's shared bound
 	// can still reach the running k-th score (a large TailShare, a large
@@ -295,13 +335,10 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 			if len(topk) == k && tailUB[m.mask[i]] < topk[0].score {
 				continue
 			}
-			s := m.scoreOne(i, ub, qv32, wf2, wa2, w, uNorm)
-			scored++
-			var ev bool
-			topk, ev = pushTopK(m.known, topk, k, heapEntry{score: s, index: i})
-			if ev {
-				evictions++
+			if dense && len(topk) == k && denseUB(i, tailGB[m.mask[i]]) < topk[0].score {
+				continue
 			}
+			offer(i)
 		}
 	}
 	buf.heap = topk
@@ -312,6 +349,7 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 		pscore[id] = 0
 	}
 	buf.touched = touched[:0]
+	buf.clearQueryDense(g.Idx)
 
 	st := prefilter.Stats{Mode: prefilter.ModePruned, Candidates: scored, Scored: scored, Pruned: n - scored, Evictions: evictions}
 	return drainTopK(m.known, topk), st
@@ -347,14 +385,14 @@ func (m *Matcher) rankLSH(ub *blocks, k int, w Weights, uNorm float64, buf *matc
 		qset = ub.grams.Idx
 	}
 	buf.cands = l.Candidates(qset, buf.cands)
-	qv32 := buf.queryVals(ub.grams.Val)
+	qd := buf.queryDense(ub.grams.Idx, ub.grams.Val, m.inv.dims())
 	wf2 := w.Freq * w.Freq
 	wa2 := w.Activity * w.Activity
 	topk := buf.heap[:0]
 	evictions := 0
 	for _, id := range buf.cands {
 		i := int(id)
-		s := m.scoreOne(i, ub, qv32, wf2, wa2, w, uNorm)
+		s := m.scoreOne(i, ub, qd, wf2, wa2, w, uNorm)
 		var ev bool
 		topk, ev = pushTopK(m.known, topk, k, heapEntry{score: s, index: i})
 		if ev {
@@ -362,6 +400,7 @@ func (m *Matcher) rankLSH(ub *blocks, k int, w Weights, uNorm float64, buf *matc
 		}
 	}
 	buf.heap = topk
+	buf.clearQueryDense(ub.grams.Idx)
 	st := prefilter.Stats{Mode: prefilter.ModeLSH, Candidates: len(buf.cands), Scored: len(buf.cands), Pruned: n - len(buf.cands), Evictions: evictions}
 	return drainTopK(m.known, topk), st
 }

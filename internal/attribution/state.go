@@ -119,51 +119,11 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 		m.docs = st.Docs
 	}
 
-	// Rebuild the inverted index from the forward lists. Filling per-gram
-	// lists in ascending subject order reproduces exactly the posting
-	// order of a serial build — the order stage 1 accumulates float32
-	// dots in. Gram ids are vocabulary indices, so the inversion runs on
-	// dense arrays and one flat posting arena; the map is only assembled
-	// at the end, one insert per distinct gram rather than per posting
-	// (the difference is most of a large snapshot's load time).
-	dims := uint32(vocab.NumWordGrams() + vocab.NumCharGrams())
-	counts := make([]uint32, dims)
-	total := 0
-	distinct := 0
-	for _, ids := range st.FwdIdx {
-		for _, idx := range ids {
-			if idx >= dims {
-				return nil, fmt.Errorf("attribution: index state: gram id %d outside the %d-gram vocabulary", idx, dims)
-			}
-			if counts[idx] == 0 {
-				distinct++
-			}
-			counts[idx]++
-			total++
-		}
-	}
-	arena := make([]posting, total)
-	next := make([]uint32, dims)
-	off := uint32(0)
-	for idx, c := range counts {
-		next[idx] = off
-		off += c
-	}
-	for i, ids := range st.FwdIdx {
-		vals := st.FwdVal[i]
-		for k, idx := range ids {
-			arena[next[idx]] = posting{subject: i, value: vals[k]}
-			next[idx]++
-		}
-	}
-	m.postings = make(map[uint32][]posting, distinct)
-	off = 0
-	for idx, c := range counts {
-		if c == 0 {
-			continue
-		}
-		m.postings[uint32(idx)] = arena[off : off+c : off+c]
-		off += c
+	// Rebuild the inverted index from the forward lists — the same
+	// invert the build pass runs, so the posting lists are identical.
+	dims := vocab.NumWordGrams() + vocab.NumCharGrams()
+	if m.inv, err = invert(st.FwdIdx, st.FwdVal, dims, opts.Workers); err != nil {
+		return nil, fmt.Errorf("attribution: index state: %w", err)
 	}
 
 	// Pre-install persisted LSH operating points; further points still
@@ -183,7 +143,7 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 	m.sameExtract = opts.Reduction.SameExtraction(opts.Final)
 	mKnown.Set(float64(n))
 	mVocabSize.Set(float64(m.vocab.NumWordGrams() + m.vocab.NumCharGrams()))
-	mPostings.Set(float64(len(m.postings)))
+	mPostings.Set(float64(m.inv.lists))
 	return m, nil
 }
 

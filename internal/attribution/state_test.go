@@ -86,6 +86,9 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(loaded.inv, m.inv) {
+		t.Error("inverted index rebuilt from state diverges from the build pass")
+	}
 	assertMatchersEquivalent(t, loaded, m, probes)
 
 	// The loaded matcher must be able to snapshot again and fold deltas.

@@ -92,8 +92,10 @@ type Bound struct {
 
 // BoundHeap is a max-heap over bounds: the root is the best remaining
 // candidate, ties broken by ascending subject id for determinism. The
-// pruned scan heapifies all N bounds in O(N) and pops until the best
-// remaining bound cannot beat the running top-k threshold.
+// pruned scan exactly scores the k best bounds first (SelectBest), drops
+// every bound below the k-th score that seeds, heapifies only the
+// survivors, and pops until the best remaining bound cannot beat the
+// running top-k threshold.
 type BoundHeap []Bound
 
 // better reports whether a outranks b in pop order.
@@ -141,4 +143,45 @@ func (h *BoundHeap) Pop() Bound {
 	s.down(0)
 	*h = s
 	return top
+}
+
+// SelectBest moves the k best bounds in pop order to h[:k], in no
+// particular order, and the rest to h[k:]. It keeps a k-entry heap with
+// the worst retained bound at its root, so a bound that cannot displace
+// it costs one comparison: O(len(h)) plus O(log k) per displacement.
+func (h BoundHeap) SelectBest(k int) {
+	if k <= 0 || k >= len(h) {
+		return
+	}
+	top := h[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		top.downWorst(i)
+	}
+	for j := k; j < len(h); j++ {
+		if better(h[j], top[0]) {
+			top[0], h[j] = h[j], top[0]
+			top.downWorst(0)
+		}
+	}
+}
+
+// downWorst is down under the reversed order: it keeps the worst bound
+// at the root.
+func (h BoundHeap) downWorst(i int) {
+	n := len(h)
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && better(h[m], h[l]) {
+			m = l
+		}
+		if r < n && better(h[m], h[r]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

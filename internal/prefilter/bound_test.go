@@ -85,3 +85,31 @@ func TestBoundHeapPopsDescending(t *testing.T) {
 		}
 	}
 }
+
+func TestBoundHeapSelectBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(40)
+		h := make(BoundHeap, n)
+		for i := range h {
+			h[i] = Bound{UB: float64(rng.Intn(6)), ID: int32(rng.Intn(1000))}
+		}
+		ref := make([]Bound, n)
+		copy(ref, h)
+		sort.Slice(ref, func(a, b int) bool { return better(ref[a], ref[b]) })
+		k := rng.Intn(n + 3)
+		h.SelectBest(k)
+		if k > n {
+			k = n
+		}
+		got := make([]Bound, n)
+		copy(got, h)
+		sort.Slice(got[:k], func(a, b int) bool { return better(got[a], got[b]) })
+		sort.Slice(got[k:], func(a, b int) bool { return better(got[k+a], got[k+b]) })
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("trial %d (n=%d k=%d): position %d = %+v, want %+v", trial, n, k, i, got[i], ref[i])
+			}
+		}
+	}
+}
