@@ -13,3 +13,9 @@ func DenseBlockCounts(m *Matcher) (freq, act int) {
 	}
 	return freq, act
 }
+
+// ReferenceRescore is the per-call stage 2 the production Rescore is
+// pinned against (referenceRescore), for the external tests.
+func ReferenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Scored {
+	return referenceRescore(m, unknown, candidates)
+}

@@ -175,7 +175,8 @@ type Matcher struct {
 	// known subject: the same prolific candidates surface in top-k after
 	// top-k, and re-extracting their 1,500-word documents per query is the
 	// single largest cost of Rescore. Only subjects that actually appear in
-	// a candidate list are ever materialised.
+	// a candidate list are ever materialised, and none are when docs below
+	// already holds the same extraction (see stage2Doc).
 	finalDocs *features.DocCache
 	// sameExtract records that the reduction and final configs produce
 	// identical raw extractions (they differ only in vocabulary budgets in
@@ -205,9 +206,10 @@ func maskNorm(mask uint8, w Weights) float64 {
 }
 
 // matchBuffers is per-worker scratch reused across Match calls: the dense
-// score accumulators sized to the known set, the top-k heap, and the
-// pre-filter's per-query scratch. Each MatchAll worker owns one; the
-// exported entry points pass nil and draw from the matcher's pool.
+// score accumulators sized to the known set, the top-k heap, the
+// pre-filter's per-query scratch and the stage-2 kernel. Each MatchAll
+// worker owns one; the exported entry points pass nil and draw from the
+// matcher's pool.
 type matchBuffers struct {
 	scores   []float64
 	scores32 []float32
@@ -231,6 +233,10 @@ type matchBuffers struct {
 	// pscore it is all-zero between queries: queryDense sets the query's
 	// ids and clearQueryDense zeroes exactly those on the way out.
 	qdense []float32
+
+	// stage2 is the stage-2 gram kernel with its merge, rank and value
+	// buffers.
+	stage2 features.GramKernel
 }
 
 // queryDense scatters the query's gram values, rounded to float32, into
@@ -679,10 +685,10 @@ func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 		n += 1
 	}
 	if hasFreq {
-		n += w.Freq * w.Freq
+		n += float64(w.Freq * w.Freq)
 	}
 	if hasAct {
-		n += w.Activity * w.Activity
+		n += float64(w.Activity * w.Activity)
 	}
 	return math.Sqrt(n)
 }
@@ -690,43 +696,59 @@ func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 // Rescore runs stage 2 on a candidate list: rebuild the vocabulary and
 // TF-IDF over only the candidates' documents (changing the selected
 // n-grams and hence every vector, including the unknown's), then rescore
-// by cosine under the matcher's weights. Candidate documents come from the
-// matcher's lazy Final-config cache, so repeat candidates cost one
-// extraction per matcher lifetime, not one per query.
+// by cosine under the matcher's weights. Candidate documents come from
+// stage2Doc, so repeat candidates cost one extraction per matcher
+// lifetime, not one per query.
 func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
-	return m.rescoreDoc(nil, unknown, candidates)
+	return m.rescoreDoc(nil, unknown, candidates, nil)
+}
+
+// stage2Doc returns known subject i's Final-config document. A matcher
+// that retains its reduction documents (Options.Incremental) already holds
+// it when the two configs share extraction; otherwise it comes from the
+// lazy finalDocs cache.
+func (m *Matcher) stage2Doc(i int) *features.SortedDoc {
+	if m.sameExtract && m.docs != nil {
+		return m.docs[i]
+	}
+	return m.finalDocs.Get(i)
 }
 
 // rescoreDoc is Rescore with an optional pre-extracted unknown document
 // (valid only when the reduction and final configs share extraction —
-// Match checks m.sameExtract before passing one).
-func (m *Matcher) rescoreDoc(udoc *features.Doc, unknown *Subject, candidates []Scored) []Scored {
+// Match checks m.sameExtract before passing one) and optional per-worker
+// scratch (drawn from the matcher's pool when nil). The gram-block dots
+// come from features.GramKernel, bit-identical to vectorizing every
+// document in the candidates' own vocabulary.
+func (m *Matcher) rescoreDoc(udoc *features.Doc, unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
 	mRescoreTotal.Inc()
+	if buf == nil {
+		buf = m.getBuf()
+		defer m.putBuf(buf)
+	}
 	idxs := make([]int, 0, len(candidates))
+	docs := make([]*features.SortedDoc, 0, len(candidates))
 	for _, c := range candidates {
 		if i, ok := m.byName[c.Name]; ok {
 			idxs = append(idxs, i)
+			docs = append(docs, m.stage2Doc(i))
 		}
 	}
-	docs := make([]*features.SortedDoc, len(idxs))
-	for j, i := range idxs {
-		docs[j] = m.finalDocs.Get(i)
-	}
-	// The per-query vocabulary rebuild runs over id-sorted gram lists (the
-	// cache stores candidates pre-flattened); the map-based VocabBuilder
-	// path costs more than everything else in Rescore combined.
-	vocab := features.BuildCandidateVocab(m.opts.Final, docs)
-
-	w := m.opts.weights()
 	if udoc == nil {
 		udoc = features.Extract(unknown.Text, m.opts.Final)
 	}
-	ub := buildBlocksFromSorted(udoc.Sorted(), unknown, vocab)
+	usd := udoc.Sorted()
+	dots, has, uHas := buf.stage2.Dots(m.opts.Final, docs, usd)
+
+	w := m.opts.weights()
+	uf, ua := normalizedFreq(usd.Freq), normalizedActivity(unknown)
+	nu := normOf(uHas, uf != nil, ua != nil, w)
 	out := make([]Scored, 0, len(idxs))
 	for j, i := range idxs {
 		s := &m.known[i]
-		cb := buildBlocksFromSorted(docs[j], s, vocab)
-		out = append(out, Scored{Name: s.Name, Score: similarity(&ub, &cb, w)})
+		cf, ca := normalizedFreq(docs[j].Freq), normalizedActivity(s)
+		nc := normOf(has[j], cf != nil, ca != nil, w)
+		out = append(out, Scored{Name: s.Name, Score: blockCosine(dots[j], uf, cf, ua, ca, nu, nc, w)})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Score != out[b].Score {
@@ -772,7 +794,7 @@ func (m *Matcher) match(ctx context.Context, unknown *Subject, buf *matchBuffers
 			rdoc = nil
 		}
 		_, ssp := obs.Start(ctx, "match.rescore")
-		res.Rescored = m.rescoreDoc(rdoc, unknown, res.Candidates)
+		res.Rescored = m.rescoreDoc(rdoc, unknown, res.Candidates, buf)
 		ssp.AddItems(int64(len(res.Rescored)))
 		ssp.End()
 	} else {

@@ -3,12 +3,60 @@ package attribution_test
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"darklight"
 	"darklight/internal/attribution"
 	"darklight/internal/prefilter"
 )
+
+// forumWorld is the scale-0.01, seed-1 Reddit world the daemon serves,
+// indexed under the pipeline's default matcher options.
+type forumWorld struct {
+	pipe    *darklight.Pipeline
+	m       *attribution.Matcher
+	queries []attribution.Subject
+}
+
+var (
+	denseOnce  sync.Once
+	denseBuilt forumWorld
+	denseErr   error
+)
+
+// denseWorld builds the forum world once for every test that needs it.
+func denseWorld(t *testing.T) forumWorld {
+	t.Helper()
+	denseOnce.Do(func() { denseBuilt, denseErr = buildForumWorld() })
+	if denseErr != nil {
+		t.Fatal(denseErr)
+	}
+	return denseBuilt
+}
+
+func buildForumWorld() (forumWorld, error) {
+	world, err := darklight.GenerateWorld(darklight.WorldConfig{Seed: 1, Scale: 0.01})
+	if err != nil {
+		return forumWorld{}, err
+	}
+	pipe := darklight.NewPipeline()
+	pipe.PolishContext(context.Background(), world.Reddit)
+	mainDS, aeDS := pipe.SplitAlterEgos(pipe.Refine(world.Reddit))
+	known, err := pipe.Subjects(mainDS)
+	if err != nil {
+		return forumWorld{}, err
+	}
+	queries, err := pipe.Subjects(aeDS)
+	if err != nil {
+		return forumWorld{}, err
+	}
+	m, err := attribution.NewMatcher(known, pipe.MatcherOptions())
+	if err != nil {
+		return forumWorld{}, err
+	}
+	return forumWorld{pipe: pipe, m: m, queries: queries}, nil
+}
 
 // TestPrunedOnDenseWorld runs the pruned stage 1 on the forum world the
 // daemon serves, where subjects have frequency and activity blocks.
@@ -20,26 +68,8 @@ import (
 // together for the default gram tail bound to separate them, so that case
 // pins only the identity.
 func TestPrunedOnDenseWorld(t *testing.T) {
-	ctx := context.Background()
-	world, err := darklight.GenerateWorld(darklight.WorldConfig{Seed: 1, Scale: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := darklight.NewPipeline()
-	pipe.PolishContext(ctx, world.Reddit)
-	mainDS, aeDS := pipe.SplitAlterEgos(pipe.Refine(world.Reddit))
-	known, err := pipe.Subjects(mainDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := pipe.Subjects(aeDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := attribution.NewMatcher(known, pipe.MatcherOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := denseWorld(t)
+	m, queries, pipe := w.m, w.queries, w.pipe
 	n := m.NumKnown()
 	if n < 50 || len(queries) < 20 {
 		t.Fatalf("world too small to test pruning: %d known, %d queries", n, len(queries))

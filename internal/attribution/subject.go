@@ -186,16 +186,6 @@ func buildBlocksFromSortedVocab(d *features.SortedDoc, s *Subject, vocab *featur
 	}
 }
 
-// buildBlocksFromSorted is buildBlocksFromDoc over the flattened document
-// form and a candidate vocabulary — the stage-2 hot path.
-func buildBlocksFromSorted(d *features.SortedDoc, s *Subject, cv *features.CandidateVocab) blocks {
-	return blocks{
-		grams: cv.VectorizeGrams(d).Normalize(),
-		freq:  normalizedFreq(d.Freq),
-		act:   normalizedActivity(s),
-	}
-}
-
 // normalizedFreq returns the unit-norm frequency block, nil when all-zero.
 func normalizedFreq(freq [features.NumFreqFeatures]float64) []float64 {
 	var fnorm float64
@@ -237,39 +227,33 @@ func normalizedActivity(s *Subject) []float64 {
 
 // norm returns the concatenated-vector norm of b under w.
 func (b *blocks) norm(w Weights) float64 {
-	n := 0.0
-	if b.grams.Len() > 0 {
-		n += 1
-	}
-	if b.freq != nil {
-		n += w.Freq * w.Freq
-	}
-	if b.act != nil {
-		n += w.Activity * w.Activity
-	}
-	return math.Sqrt(n)
+	return normOf(b.grams.Len() > 0, b.freq != nil, b.act != nil, w)
 }
 
+// denseDot is the dot product of two dense blocks, 0 when either is
+// absent. Products are rounded before they are added, as in sparse.Dot.
 func denseDot(a, b []float64) float64 {
 	if a == nil || b == nil {
 		return 0
 	}
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
 
-// similarity is the cosine of the two concatenated weighted vectors.
-func similarity(u, v *blocks, w Weights) float64 {
-	nu, nv := u.norm(w), v.norm(w)
+// blockCosine is the cosine of two concatenated weighted vectors, given
+// their gram-block dot product, their dense blocks and their norms
+// (normOf). The weighted terms are rounded before they are added, as in
+// sparse.Dot, so every caller gets the same bits on every architecture.
+func blockCosine(gramDot float64, uf, vf, ua, va []float64, nu, nv float64, w Weights) float64 {
 	if nu == 0 || nv == 0 {
 		return 0
 	}
-	dot := sparse.Dot(u.grams, v.grams) +
-		w.Freq*w.Freq*denseDot(u.freq, v.freq) +
-		w.Activity*w.Activity*denseDot(u.act, v.act)
+	dot := gramDot +
+		float64(w.Freq*w.Freq*denseDot(uf, vf)) +
+		float64(w.Activity*w.Activity*denseDot(ua, va))
 	return dot / (nu * nv)
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"darklight/internal/features"
+	"darklight/internal/sparse"
 )
 
 // referenceTopK is the historical sort-based selection (full index
@@ -102,6 +103,13 @@ func TestTopKScratchReuse(t *testing.T) {
 	}
 }
 
+// similarity is the cosine of two subjects' concatenated weighted
+// vectors, computed from their materialised blocks — the reference form
+// of the score both stages compute from indexes and kernels.
+func similarity(u, v *blocks, w Weights) float64 {
+	return blockCosine(sparse.Dot(u.grams, v.grams), u.freq, v.freq, u.act, v.act, u.norm(w), v.norm(w), w)
+}
+
 // referenceRescore is the pre-hoist Rescore: byName rebuilt per call,
 // candidate documents re-extracted per call. The production path must
 // return identical output from its matcher-lifetime caches.
@@ -162,6 +170,89 @@ func TestRescoreUnchangedByHoistedIndex(t *testing.T) {
 				t.Fatalf("round %d probe %d: Rescore diverged from reference:\ngot  %v\nwant %v",
 					round, p, got, want)
 			}
+		}
+	}
+}
+
+// TestRescoreMatchesReferenceUnderBindingBudgets repeats the reference
+// comparison with Final budgets small enough to cut every candidate
+// vocabulary: at the paper's 50k/15k the 12 small authors never reach the
+// budget, so selection order and the cut itself would go untested.
+func TestRescoreMatchesReferenceUnderBindingBudgets(t *testing.T) {
+	authors := makeAuthors(t, 12, 300)
+	known, probes := split(authors)
+	opts := testOptions()
+	opts.Final.MaxWordGrams, opts.Final.MaxCharGrams = 200, 100
+	m, err := NewMatcher(known, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range probes {
+		cands := m.Rank(&probes[p], 6)
+		// The budgets must actually bind on this candidate set.
+		all := opts.Final
+		all.MaxWordGrams, all.MaxCharGrams = -1, -1
+		vb := features.NewVocabBuilder(all)
+		for _, c := range cands {
+			vb.Add(features.Extract(known[m.byName[c.Name]].Text, all))
+		}
+		if v := vb.Build(); v.NumWordGrams() <= 200 || v.NumCharGrams() <= 100 {
+			t.Fatalf("probe %d: candidate vocabulary %d/%d grams does not exceed the 200/100 budgets",
+				p, v.NumWordGrams(), v.NumCharGrams())
+		}
+		got := m.Rescore(&probes[p], cands)
+		want := referenceRescore(m, &probes[p], cands)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("probe %d: Rescore diverged from reference:\ngot  %v\nwant %v", p, got, want)
+		}
+	}
+}
+
+// TestIncrementalStage2ReusesReductionDocs: a matcher that retains its
+// reduction documents serves stage 2 from them when the configs share
+// extraction — identical output, and the Final-config cache is never
+// filled. When they do not share extraction it must still extract the
+// Final-config documents.
+func TestIncrementalStage2ReusesReductionDocs(t *testing.T) {
+	authors := makeAuthors(t, 10, 300)
+	known, probes := split(authors)
+	for _, shared := range []bool{true, false} {
+		opts := testOptions()
+		if !shared {
+			opts.Final.Lemmatize = false
+		}
+		plain, err := NewMatcher(known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Incremental = true
+		inc, err := NewMatcher(known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range probes {
+			if got, want := inc.Match(&probes[p]), plain.Match(&probes[p]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shared %v, probe %d: incremental Match diverges\ngot  %+v\nwant %+v", shared, p, got, want)
+			}
+		}
+		cached, incCached := 0, 0
+		for i := range known {
+			if inc.finalDocs.Cached(i) {
+				incCached++
+			}
+			if plain.finalDocs.Cached(i) {
+				cached++
+			}
+		}
+		if cached == 0 {
+			t.Fatalf("shared %v: non-incremental matcher cached no stage-2 documents: the probes never reached stage 2", shared)
+		}
+		want := cached
+		if shared {
+			want = 0 // every stage-2 document is a retained reduction document
+		}
+		if incCached != want {
+			t.Fatalf("shared %v: incremental matcher cached %d stage-2 documents, want %d", shared, incCached, want)
 		}
 	}
 }

@@ -10,9 +10,9 @@ import "sync/atomic"
 // are extracted lazily on first Get, so a matcher that only ever touches a
 // fraction of the known set (the usual case — only subjects that surface
 // in some top-k are rescored) pays memory only for that fraction. Entries
-// are stored as SortedDocs because that is what the candidate-vocabulary
-// fast path consumes, and the flattened form is several times smaller than
-// the Doc's gram maps.
+// are stored as SortedDocs because the stage-2 kernel (GramKernel) merges
+// id-sorted gram lists, and the flattened form is several times smaller
+// than the Doc's gram maps.
 //
 // Safe for concurrent use. Two goroutines racing on the same cold entry may
 // both extract (Extract is pure), but CompareAndSwap keeps a single

@@ -9,8 +9,8 @@ type GramEntry struct {
 }
 
 // SortedDoc is a Doc flattened into id-sorted slices. It carries exactly
-// the information of a Doc but in a form the candidate-vocabulary fast
-// path can merge linearly: hash maps are where the per-query stage-2
+// the information of a Doc but in a form the stage-2 kernel (GramKernel)
+// can merge linearly: hash maps are where a per-query stage-2 vocabulary
 // rebuild spends most of its time, and none survive here. A SortedDoc is
 // also ~2-3× smaller than the Doc's maps, which matters for the matcher's
 // per-subject cache.

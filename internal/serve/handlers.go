@@ -68,9 +68,15 @@ func (s *Service) handleRank(r *http.Request, st *state, body []byte) (any, *Err
 	return resp, nil
 }
 
+// MaxRescoreCandidates bounds a /v1/rescore candidate list: ten times the
+// paper's k = 10. Every listed candidate joins the stage-2 merge, so the
+// list length — not the body size — sets the request's cost.
+const MaxRescoreCandidates = 100
+
 // handleRescore is POST /v1/rescore: stage 2 over an explicit candidate
 // list. Every candidate must exist in the live index — a silent drop would
-// make "no result" ambiguous between "unknown name" and "scored last".
+// make "no result" ambiguous between "unknown name" and "scored last" —
+// and appear once: a repeated name would be merged once per copy.
 func (s *Service) handleRescore(r *http.Request, st *state, body []byte) (any, *Error) {
 	ctx, span := obs.Start(r.Context(), "rescore")
 	defer span.End()
@@ -79,11 +85,19 @@ func (s *Service) handleRescore(r *http.Request, st *state, body []byte) (any, *
 	if apiErr := decodeRequest(body, 0, &req); apiErr != nil {
 		return nil, apiErr
 	}
-	if len(req.Candidates) == 0 {
+	switch n := len(req.Candidates); {
+	case n == 0:
 		return nil, errInvalidRequest("candidates must name at least one known subject")
+	case n > MaxRescoreCandidates:
+		return nil, errInvalidRequest(fmt.Sprintf("candidate list has %d names, more than the limit of %d", n, MaxRescoreCandidates))
 	}
 	list := make([]attribution.Scored, len(req.Candidates))
+	seen := make(map[string]bool, len(req.Candidates))
 	for i, name := range req.Candidates {
+		if seen[name] {
+			return nil, errInvalidRequest(fmt.Sprintf("candidate %q is listed more than once", name))
+		}
+		seen[name] = true
 		if _, ok := st.knownSet[name]; !ok {
 			return nil, errUnknownAlias(name)
 		}

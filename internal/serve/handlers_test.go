@@ -9,6 +9,7 @@ package serve
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -40,6 +41,13 @@ func TestHandlerTable(t *testing.T) {
 	validSubject := `{"alias":"q_alice"}`
 	inlineSubject := `{"name":"visitor","messages":[{"body":"shipment arrived with stealth packaging and escrow finalize quality tracking","time":"2017-03-04T10:00:00Z"}]}`
 	bigBody := `{"subject":{"alias":"q_alice"},"k":` + strings.Repeat("1", 4096) + `}`
+	// One name past MaxRescoreCandidates, all distinct: the length bound
+	// rejects the list before any name is looked up.
+	names := make([]string, MaxRescoreCandidates+1)
+	for i := range names {
+		names[i] = fmt.Sprintf(`"c%d"`, i)
+	}
+	manyCandidates := "[" + strings.Join(names, ",") + "]"
 
 	type row struct {
 		name       string
@@ -95,6 +103,8 @@ func TestHandlerTable(t *testing.T) {
 		{name: "rescore_unknown_candidate", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"candidates":["alice","nobody"]}`, wantStatus: 404},
 		{name: "rescore_unknown_subject", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":{"alias":"nobody"},"candidates":["alice"]}`, wantStatus: 404},
 		{name: "rescore_no_candidates", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"candidates":[]}`, wantStatus: 400},
+		{name: "rescore_duplicate_candidate", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"candidates":["alice","bob","alice"]}`, wantStatus: 400},
+		{name: "rescore_too_many_candidates", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"candidates":` + manyCandidates + `}`, wantStatus: 400},
 
 		// /v1/match
 		{name: "match_valid", endpoint: "match", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `}`, wantStatus: 200},

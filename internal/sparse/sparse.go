@@ -161,14 +161,19 @@ func (v Vector) Get(i uint32) float64 {
 	return 0
 }
 
-// Dot returns the inner product of two sorted vectors.
+// Dot returns the inner product of two sorted vectors. Each product is
+// rounded before it is added: the Go spec lets x*y + z fuse into one FMA
+// instruction (arm64 does), and "an explicit floating-point type
+// conversion rounds to the precision of the target type, preventing
+// fusion". So the sum has the same bits on every architecture, and
+// equals features.GramKernel's.
 func Dot(a, b Vector) float64 {
 	sum := 0.0
 	i, j := 0, 0
 	for i < len(a.Idx) && j < len(b.Idx) {
 		switch {
 		case a.Idx[i] == b.Idx[j]:
-			sum += a.Val[i] * b.Val[j]
+			sum += float64(a.Val[i] * b.Val[j])
 			i++
 			j++
 		case a.Idx[i] < b.Idx[j]:
@@ -180,11 +185,11 @@ func Dot(a, b Vector) float64 {
 	return sum
 }
 
-// Norm returns the Euclidean norm.
+// Norm returns the Euclidean norm. Products are rounded as in Dot.
 func (v Vector) Norm() float64 {
 	sum := 0.0
 	for _, x := range v.Val {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	return math.Sqrt(sum)
 }
